@@ -18,6 +18,8 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -76,9 +78,15 @@ class ExperimentSpec:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        for count in ("splits", "runs", "workers"):
+            if getattr(self, count) < 1:
+                raise ValueError(f"{count} must be >= 1")
         for axis in ("beta", "x", "p", "q"):
-            if not getattr(self, axis):
+            values = getattr(self, axis)
+            if not values:
                 raise ValueError(f"grid axis {axis!r} must be non-empty")
+            if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
+                raise ValueError(f"grid axis {axis!r} must hold finite numbers")
 
 
 def _env(name: str, cast, fallback):
@@ -334,9 +342,7 @@ def run_spec(spec: ExperimentSpec) -> int:
             "grid": grid_summary,
             "best": grid_summary[best_idx],
         }
-        with open(os.path.join(spec.out, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(spec.out, "summary.json"), summary)
         emitted.append("summary.json")
 
         emitted += _emit_best_point_artifacts(tn, spec, grid_summary[best_idx]["params"],
@@ -365,9 +371,14 @@ def _write_manifest(spec: ExperimentSpec, emitted: list[str], status: str,
         "files": {name: "sha256:" + _sha256(os.path.join(spec.out, name))
                   for name in sorted(emitted)},
     }
-    with open(os.path.join(spec.out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(spec.out, "manifest.json"), manifest)
+
+
+def _write_json(path, obj) -> None:
+    """Strict JSON: a NaN or infinity raises before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def validate_dataset(path, fmt: EdgeListFormat | None = None) -> NetworkStats:

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientNegativesError
-from .graphs import StaticNetwork, TemporalNetwork, aggregate, walk_counts_from
+from .graphs import (StaticNetwork, TemporalNetwork, aggregate, edge_keys, key_pairs,
+                     keys_in, unique_keys, walk_counts)
 from .pairs import PairStream, generate_pairs
 from .skipgram import EmbeddingMatrix, TrainConfig, train
 from .spreading import SPREAD_MODES, SpreadConfig, sample_corpus
@@ -105,11 +106,7 @@ def run_seed_for(master_seed: int, split_index: int, run_index: int) -> int:
 
 def contacted_pairs(tn: TemporalNetwork) -> np.ndarray:
     """Unique unordered node pairs with at least one contact, as (lo, hi)."""
-    if tn.n_contacts == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    lo = np.minimum(tn.src, tn.dst)
-    hi = np.maximum(tn.src, tn.dst)
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    return key_pairs(unique_keys(edge_keys(tn.n_nodes, tn.src, tn.dst)), tn.n_nodes)
 
 
 def make_split(tn: TemporalNetwork, split_seed: int) -> EvalSplit:
@@ -119,21 +116,20 @@ def make_split(tn: TemporalNetwork, split_seed: int) -> EvalSplit:
     the remaining pairs are the positives.  Negatives are sampled uniformly,
     without replacement, from the pairs with no contact in the full network.
     """
-    pairs = contacted_pairs(tn)
-    n_pairs = len(pairs)
+    n = tn.n_nodes
+    keys, pair_of_contact = np.unique(edge_keys(n, tn.src, tn.dst), return_inverse=True)
+    n_pairs = len(keys)
     if n_pairs < 2:
         raise ValueError("need at least 2 contacted node pairs to split")
-    n = tn.n_nodes
     rng = np.random.default_rng(split_seed)
     perm = rng.permutation(n_pairs)
     n_train = int(0.75 * n_pairs)
-    positives = pairs[perm[n_train:]]
+    positives = keys[perm[n_train:]]
     n_pos = len(positives)
 
-    keys = pairs[:, 0] * n + pairs[:, 1]
-    train_keys = keys[perm[:n_train]]
-    contact_keys = np.minimum(tn.src, tn.dst) * n + np.maximum(tn.src, tn.dst)
-    mask = np.isin(contact_keys, train_keys)
+    in_train = np.zeros(n_pairs, dtype=bool)
+    in_train[perm[:n_train]] = True
+    mask = in_train[pair_of_contact]
     train_temporal = TemporalNetwork(n, tn.src[mask], tn.dst[mask], tn.times[mask],
                                      labels=tn.labels)
 
@@ -141,36 +137,38 @@ def make_split(tn: TemporalNetwork, split_seed: int) -> EvalSplit:
     if available < n_pos:
         raise InsufficientNegativesError(
             f"{n_pos} negatives requested but only {available} uncontacted pairs exist")
-    contacted = set(keys.tolist())
-    negatives: list[tuple[int, int]] = []
     if available <= 4 * n_pos:
         # dense case: enumerate every uncontacted pair and subsample
         lo, hi = np.triu_indices(n, k=1)
-        all_keys = lo * n + hi
-        free = ~np.isin(all_keys, keys)
-        cand = np.stack([lo[free], hi[free]], axis=1)
-        take = rng.choice(len(cand), size=n_pos, replace=False)
-        negatives = [tuple(x) for x in cand[take]]
+        cand = edge_keys(n, lo, hi)
+        cand = cand[~keys_in(cand, keys)]
+        negatives = cand[rng.choice(len(cand), size=n_pos, replace=False)]
     else:
-        chosen: set[int] = set()
-        while len(negatives) < n_pos:
-            draws = rng.integers(0, n, size=(2 * (n_pos - len(negatives)) + 8, 2))
-            for a, b in draws:
-                if a == b:
-                    continue
-                lo, hi = (int(a), int(b)) if a < b else (int(b), int(a))
-                key = lo * n + hi
-                if key in contacted or key in chosen:
-                    continue
-                chosen.add(key)
-                negatives.append((lo, hi))
-                if len(negatives) == n_pos:
-                    break
+        negatives = _draw_uncontacted(rng, n, keys, n_pos)
 
-    test_pairs = np.concatenate([positives, np.asarray(negatives, dtype=np.int64)])
+    test_pairs = key_pairs(np.concatenate([positives, negatives]), n)
     labels = np.concatenate([np.ones(n_pos, np.int64), np.zeros(n_pos, np.int64)])
     return EvalSplit(train_temporal, aggregate(train_temporal), test_pairs, labels,
                      int(split_seed))
+
+
+def _draw_uncontacted(rng: np.random.Generator, n: int, contacted: np.ndarray,
+                      count: int) -> np.ndarray:
+    """Keys of ``count`` distinct uncontacted pairs, by rejection sampling.
+
+    Batches of uniform node pairs are scanned in draw order; a draw is kept
+    unless it is a self-pair, contacted, or already kept.
+    """
+    kept = np.empty(0, dtype=np.int64)
+    while len(kept) < count:
+        draws = rng.integers(0, n, size=(2 * (count - len(kept)) + 8, 2))
+        new = edge_keys(n, draws[:, 0], draws[:, 1])
+        new = new[(draws[:, 0] != draws[:, 1]) & ~keys_in(new, contacted)]
+        _, first = np.unique(new, return_index=True)
+        new = new[np.sort(first)]
+        new = new[~keys_in(new, np.sort(kept))]
+        kept = np.concatenate([kept, new[:count - len(kept)]])
+    return kept
 
 
 def score_dot(em: EmbeddingMatrix, pairs: np.ndarray) -> np.ndarray:
@@ -197,24 +195,16 @@ def _dense_walk_matrix(g: StaticNetwork, l: int) -> np.ndarray:
 def score_lpath(g: StaticNetwork, pairs: np.ndarray, l: int) -> np.ndarray:
     """Number of l-link walks between the endpoints, on the training network.
 
-    Small batches propagate a frontier per distinct source; large batches on
-    networks that fit in memory use dense matrix powers instead.
+    Batches with many distinct sources on networks that fit in memory use
+    dense matrix powers; all others count walks pair by pair.
     """
     if l not in (2, 3, 4):
         raise ValueError(f"l must be one of 2, 3, 4; got {l}")
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    by_source: dict[int, list[int]] = {}
-    for idx, (i, _) in enumerate(pairs):
-        by_source.setdefault(int(i), []).append(idx)
-    if g.n_nodes <= 2048 and len(by_source) * l * g.n_nodes > 2e5:
+    if g.n_nodes <= 2048 and len(unique_keys(pairs[:, 0])) * l * g.n_nodes > 2e5:
         power = _dense_walk_matrix(g, l)
         return power[pairs[:, 0], pairs[:, 1]].astype(np.int64)
-    out = np.empty(len(pairs), dtype=np.int64)
-    for i, indices in by_source.items():
-        counts = walk_counts_from(g, i, l)
-        for idx in indices:
-            out[idx] = counts[pairs[idx, 1]]
-    return out
+    return walk_counts(g, pairs, l)
 
 
 def auc(scores, labels) -> float:
@@ -276,15 +266,9 @@ def dot_product_histogram(em: EmbeddingMatrix, pairs: np.ndarray, labels,
 def sampled_network(pairs: PairStream) -> StaticNetwork:
     """The unweighted graph G_S whose edges are the sampled node pairs and
     whose node set is the nodes that occur in the corpus."""
-    members = np.nonzero(pairs.counts)[0]
     arr = pairs.to_array()
-    if len(arr):
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    else:
-        edges = np.empty((0, 2), np.int64)
-    return StaticNetwork(pairs.n_nodes, edges, members=members)
+    return StaticNetwork.from_keys(pairs.n_nodes, edge_keys(pairs.n_nodes, arr[:, 0], arr[:, 1]),
+                                   members=np.nonzero(pairs.counts)[0])
 
 
 def resolve_params(params: dict | None) -> dict:

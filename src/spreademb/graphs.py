@@ -113,7 +113,7 @@ class TemporalNetwork:
     @property
     def n_timestamps(self) -> int:
         """Number of distinct contact timestamps."""
-        return len(np.unique(self.times))
+        return int(np.count_nonzero(np.diff(self.times))) + 1 if len(self.times) else 0
 
     @property
     def contacts(self) -> Iterator[tuple[int, int, int]]:
@@ -127,6 +127,48 @@ class TemporalNetwork:
 
     def contact_times(self, i: int) -> np.ndarray:
         return self.contact_index(i)[0]
+
+
+def edge_keys(n_nodes: int, a, b) -> np.ndarray:
+    """Key ``min(a, b) * n_nodes + max(a, b)`` of each unordered node pair.
+
+    Keys sort like the (lo, hi) pairs they encode, so the sorted unique keys
+    of an edge set list its edges in the row order of ``np.unique(axis=0)``.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    return np.minimum(a, b) * n_nodes + np.maximum(a, b)
+
+
+def unique_keys(keys) -> np.ndarray:
+    """The distinct keys in ascending order.
+
+    Equal to ``np.unique`` on integer keys; sorting and comparing neighbours
+    is several times faster than its hashing on int64 keys.
+    """
+    keys = np.sort(keys)
+    return keys[_run_starts(keys)]
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal sorted keys."""
+    first = np.empty(len(sorted_keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return first
+
+
+def key_pairs(keys, n_nodes: int) -> np.ndarray:
+    """The (m, 2) array of (lo, hi) rows that ``edge_keys`` encoded."""
+    return np.stack(np.divmod(np.asarray(keys, dtype=np.int64), n_nodes), axis=1)
+
+
+def keys_in(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Boolean mask of the ``keys`` that occur in the sorted array ``sorted_keys``."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(keys), dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[at] == keys
 
 
 class StaticNetwork:
@@ -155,22 +197,34 @@ class StaticNetwork:
                 raise ValueError("edge endpoints outside [0, n_nodes)")
             if np.any(e[:, 0] == e[:, 1]):
                 raise ValueError("self-loop edge")
-            lo = np.minimum(e[:, 0], e[:, 1])
-            hi = np.maximum(e[:, 0], e[:, 1])
-            e = np.unique(np.stack([lo, hi], axis=1), axis=0)
+        self._build(n_nodes, edge_keys(n_nodes, e[:, 0], e[:, 1]), members)
+
+    @classmethod
+    def from_keys(cls, n_nodes, keys, members=None) -> "StaticNetwork":
+        """The graph on the node pairs with these ``edge_keys``; repeats collapse.
+
+        The keys are trusted: they must encode loop-free pairs of ids in
+        [0, n_nodes), as keys of validated contacts or edges do.
+        """
+        g = cls.__new__(cls)
+        g._build(int(n_nodes), keys, members)
+        return g
+
+    def _build(self, n_nodes, keys, members):
+        keys = unique_keys(keys)
         self.n_nodes = n_nodes
-        self.edges = e
+        self.edges = key_pairs(keys, n_nodes)
+        lo, hi = self.edges[:, 0], self.edges[:, 1]
         if members is None:
             self.members = np.arange(n_nodes, dtype=np.int64)
         else:
             self.members = np.unique(np.asarray(members, dtype=np.int64))
             if len(self.members) and (self.members[0] < 0 or self.members[-1] >= n_nodes):
                 raise ValueError("member ids outside [0, n_nodes)")
-        ends = np.concatenate([e[:, 0], e[:, 1]]) if len(e) else np.empty(0, np.int64)
-        nbrs = np.concatenate([e[:, 1], e[:, 0]]) if len(e) else np.empty(0, np.int64)
-        order = np.lexsort((nbrs, ends))
-        self._indptr = np.searchsorted(ends[order], np.arange(n_nodes + 1))
-        self._nbrs = nbrs[order]
+        # each edge in both directions, as end * n + neighbour sorted once
+        ends, self._nbrs = np.divmod(np.sort(np.concatenate([keys, hi * n_nodes + lo])),
+                                     n_nodes)
+        self._indptr = np.searchsorted(ends, np.arange(n_nodes + 1))
         self.degree = np.diff(self._indptr)
 
     @property
@@ -288,29 +342,72 @@ def load_temporal(source, fmt: EdgeListFormat | None = None) -> TemporalNetwork:
 
 def aggregate(tn: TemporalNetwork) -> StaticNetwork:
     """Static aggregation: nodes i, j are linked iff they share >=1 contact."""
-    if tn.n_contacts == 0:
-        return StaticNetwork(tn.n_nodes, np.empty((0, 2), np.int64))
-    lo = np.minimum(tn.src, tn.dst)
-    hi = np.maximum(tn.src, tn.dst)
-    return StaticNetwork(tn.n_nodes, np.stack([lo, hi], axis=1))
+    return StaticNetwork.from_keys(tn.n_nodes, edge_keys(tn.n_nodes, tn.src, tn.dst))
 
 
-def local_clustering(g: StaticNetwork, i: int) -> float:
-    """Fraction of neighbor pairs of i that are themselves linked."""
-    nbrs = g.neighbors(i)
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    links = 0
-    for u in nbrs:
-        links += len(np.intersect1d(nbrs, g.neighbors(u), assume_unique=True))
-    return links / (k * (k - 1))  # each triangle edge counted twice
+# Upper bound on the wedges or walk steps expanded at once; it bounds the
+# size of every temporary array of the triangle and walk counters.
+CHUNK = 1 << 16
+
+
+def _chunks(cost: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive (start, stop) ranges of items whose costs sum to at most
+    ``CHUNK``; an item costing more than that gets a range of its own."""
+    cum = np.cumsum(cost)
+    start = 0
+    while start < len(cum):
+        base = int(cum[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(cum, base + CHUNK, side="right")), start + 1)
+        yield start, stop
+        start = stop
+
+
+def _neighbour_slots(g: StaticNetwork, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in the CSR neighbour array of every neighbour of each node,
+    node by node, and the nodes' degrees."""
+    deg = g.degree[nodes]
+    first = np.cumsum(deg) - deg
+    return np.arange(int(deg.sum())) + np.repeat(g._indptr[nodes] - first, deg), deg
+
+
+def _triangle_counts(g: StaticNetwork) -> np.ndarray:
+    """Number of triangles through each node.
+
+    Every edge points from its lower to its higher (degree, id) end; each
+    triangle is then the one wedge of out-neighbours at its lowest vertex
+    that an edge closes (Latapy, TCS 2008), so O(m^1.5) wedges are
+    checked.  Wedges are generated and looked up in chunks.
+    """
+    n = g.n_nodes
+    a, b = g.edges[:, 0], g.edges[:, 1]
+    up = g.degree[a] <= g.degree[b]   # a < b breaks degree ties
+    src = np.where(up, a, b)
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], np.where(up, b, a)[order]
+    # a wedge is a pair of slots p < q in the out-list of one source
+    later = np.searchsorted(src, src, side="right") - np.arange(len(src)) - 1
+    keys = edge_keys(n, a, b)
+    counts = np.zeros(n, dtype=np.int64)
+    for start, stop in _chunks(later):
+        slots, reps = np.arange(start, stop), later[start:stop]
+        p = np.repeat(slots, reps)
+        # the w-th wedge of slot p pairs it with slot p + 1 + w
+        q = np.arange(len(p)) + np.repeat(slots + 1 - (np.cumsum(reps) - reps), reps)
+        closed = keys_in(edge_keys(n, dst[p], dst[q]), keys)
+        counts += np.bincount(np.concatenate([src[p[closed]], dst[p[closed]], dst[q[closed]]]),
+                              minlength=n)
+    return counts
 
 
 def average_clustering(g: StaticNetwork) -> float:
+    """Mean over member nodes of the fraction of neighbour pairs that are
+    linked; nodes of degree < 2 count as 0."""
     if len(g.members) == 0:
         return 0.0
-    return float(np.mean([local_clustering(g, int(i)) for i in g.members]))
+    k = g.degree[g.members]
+    local = np.zeros(len(k))
+    np.divide(2 * _triangle_counts(g)[g.members], k * (k - 1), out=local, where=k >= 2)
+    return float(np.mean(local))
 
 
 def stats(tn: TemporalNetwork, g: StaticNetwork) -> NetworkStats:
@@ -330,20 +427,70 @@ def stats(tn: TemporalNetwork, g: StaticNetwork) -> NetworkStats:
     )
 
 
+def _walks(g: StaticNetwork, sources: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Walks of ``steps`` steps from each source, by source and end node.
+
+    Returns the sorted keys ``k * n_nodes + end`` (k the source's position
+    in ``sources``) of every reachable (source, end) and the number of
+    walks to each, exactly in int64.
+    """
+    n = g.n_nodes
+    keys = np.arange(len(sources), dtype=np.int64) * n + sources
+    counts = np.ones(len(sources), dtype=np.int64)
+    for step in range(steps):
+        owner, node = np.divmod(keys, n)
+        slots, deg = _neighbour_slots(g, node)
+        keys = np.repeat(owner * n, deg) + g._nbrs[slots]
+        counts = np.repeat(counts, deg)
+        if step and len(keys):
+            # later steps reach a node along several walks: sum their counts
+            order = np.argsort(keys)
+            keys, counts = keys[order], counts[order]
+            first = np.flatnonzero(_run_starts(keys))
+            keys, counts = keys[first], np.add.reduceat(counts, first)
+    return keys, counts
+
+
+def walk_counts(g: StaticNetwork, pairs: np.ndarray, length: int) -> np.ndarray:
+    """Number of length-``length`` walks between the ends of each pair, the
+    (i, j) entries of the adjacency matrix power, exactly in int64.
+
+    Meets in the middle, A^l[i, j] = sum_m A^a[i, m] A^(l-a)[j, m]: walks of
+    l - l//2 steps from one end are joined with walks of l//2 steps from the
+    other on their end node m.  The longer half starts from the end that
+    reaches fewer walk steps, and pairs are processed in chunks of at most
+    ``CHUNK`` expanded steps.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    long_steps, short_steps = length - length // 2, length // 2
+    # reach[h][i]: walk steps expanded h steps out from i, an upper bound
+    reach = [np.ones(g.n_nodes, dtype=np.int64)]
+    for _ in range(long_steps):
+        cum = np.concatenate([[0], np.cumsum(reach[-1][g._nbrs])])
+        reach.append(cum[g._indptr[1:]] - cum[g._indptr[:-1]])
+    far, near = reach[long_steps], reach[short_steps]
+    a, b = pairs[:, 0], pairs[:, 1]
+    swap = far[a] + near[b] > far[b] + near[a]
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    out = np.zeros(len(pairs), dtype=np.int64)
+    for start, stop in _chunks(far[a] + near[b]):
+        left, left_counts = _walks(g, a[start:stop], long_steps)
+        right, right_counts = _walks(g, b[start:stop], short_steps)
+        met = keys_in(right, left)
+        at = np.searchsorted(left, right[met])
+        np.add.at(out, start + right[met] // g.n_nodes, left_counts[at] * right_counts[met])
+    return out
+
+
 def walk_counts_from(g: StaticNetwork, i: int, length: int) -> np.ndarray:
     """Number of length-`length` walks from node i to every node.
 
-    Equals row i of the adjacency matrix raised to the given power, computed
-    by sparse frontier propagation in O(length * |E|).
+    Equals row i of the adjacency matrix raised to the given power.
     """
-    v = np.zeros(g.n_nodes, dtype=np.int64)
-    v[i] = 1
-    for _ in range(length):
-        nxt = np.zeros(g.n_nodes, dtype=np.int64)
-        for u in np.nonzero(v)[0]:
-            nxt[g.neighbors(u)] += v[u]
-        v = nxt
-    return v
+    ends, counts = _walks(g, np.array([i], dtype=np.int64), length)
+    row = np.zeros(g.n_nodes, dtype=np.int64)
+    row[ends] = counts
+    return row
 
 
 def count_l_paths(g: StaticNetwork, i: int, j: int, l: int) -> int:
@@ -357,4 +504,4 @@ def count_l_paths(g: StaticNetwork, i: int, j: int, l: int) -> int:
         raise ValueError("endpoints must differ")
     if not (0 <= i < g.n_nodes and 0 <= j < g.n_nodes):
         raise ValueError("node id outside [0, n_nodes)")
-    return int(walk_counts_from(g, i, l)[j])
+    return int(walk_counts(g, [(i, j)], l)[0])

@@ -162,9 +162,6 @@ def train(pairs: PairStream, cfg: TrainConfig) -> EmbeddingMatrix:
         raise ValueError("pair stream is empty")
     n = pairs.n_nodes
     d = cfg.dim
-    if d >= n:
-        warnings.warn(f"embedding dim {d} >= node count {n}: overparameterized",
-                      stacklevel=2)
     rng = np.random.default_rng(cfg.rng_seed)
     u = (rng.random((n, d)) - 0.5) / d
     v = np.zeros((n, d))

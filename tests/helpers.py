@@ -128,3 +128,45 @@ def brute_force_auc(scores, labels) -> float:
             elif s == t:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def naive_average_clustering(g: StaticNetwork) -> float:
+    """Mean local clustering by intersecting each member's neighbour list
+    with each neighbour's (independent oracle)."""
+    def local(i: int) -> float:
+        nbrs = g.neighbors(i)
+        k = len(nbrs)
+        if k < 2:
+            return 0.0
+        links = 0
+        for u in nbrs:
+            links += len(np.intersect1d(nbrs, g.neighbors(u), assume_unique=True))
+        return links / (k * (k - 1))  # each triangle edge counted twice
+
+    if len(g.members) == 0:
+        return 0.0
+    return float(np.mean([local(int(i)) for i in g.members]))
+
+
+def naive_walk_counts_from(g: StaticNetwork, i: int, length: int) -> np.ndarray:
+    """Row i of A**length by propagating a frontier one node at a time
+    (independent oracle)."""
+    v = np.zeros(g.n_nodes, dtype=np.int64)
+    v[i] = 1
+    for _ in range(length):
+        nxt = np.zeros(g.n_nodes, dtype=np.int64)
+        for u in np.nonzero(v)[0]:
+            nxt[g.neighbors(u)] += v[u]
+        v = nxt
+    return v
+
+
+def reference_csr(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edges, indptr, neighbours) of the simple graph on `edges`, built with
+    row-wise unique and lexsort (independent oracle)."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    e = np.unique(np.stack([e.min(axis=1), e.max(axis=1)], axis=1), axis=0)
+    ends = np.concatenate([e[:, 0], e[:, 1]])
+    nbrs = np.concatenate([e[:, 1], e[:, 0]])
+    order = np.lexsort((nbrs, ends))
+    return e, np.searchsorted(ends[order], np.arange(n + 1)), nbrs[order]

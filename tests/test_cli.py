@@ -194,3 +194,40 @@ def test_env_seed_default(toy_dataset, tmp_path, monkeypatch):
                  "--splits", "1", "--runs", "1", "--seed", "33",
                  "--out", str(out_flag)]) == 0
     assert rows == read_rows(out_flag)
+
+
+@pytest.mark.parametrize("flag", ["--splits", "--runs", "--workers"])
+def test_run_rejects_counts_below_one(toy_dataset, tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(toy_dataset), "--algorithm", "l2",
+                 "--splits", "1", "--runs", "1", "--seed", "0",
+                 flag, "0", "--out", str(out)]) == 1
+    assert f"{flag[2:]} must be >= 1" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_run_rejects_non_finite_grid_value(toy_dataset, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(toy_dataset), "--algorithm", "sine",
+                 "--beta", "nan", "--out", str(out)]) == 1
+    assert "finite numbers" in capsys.readouterr().err
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"beta": ["a"]}))
+    assert main(["run", "--spec", str(spec_path), "--dataset", str(toy_dataset),
+                 "--algorithm", "sine", "--out", str(out)]) == 1
+    assert "finite numbers" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_run_writes_strict_json(toy_dataset, tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(toy_dataset), "--algorithm", "l2",
+                 "--splits", "2", "--runs", "1", "--seed", "3",
+                 "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    for name in ("summary.json", "manifest.json"):
+        json.loads((out / name).read_text(), parse_constant=reject)

@@ -157,8 +157,10 @@ def test_train_empty_stream_rejected():
 
 def test_overparameterized_dim_warns():
     stream = stream_of([[0, 1, 2]], 3, window=1)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         train(stream, TrainConfig(dim=8, epochs=1, rng_seed=8))
+    assert [str(w.message) for w in record] == [
+        "embedding dim 8 >= node count 3: overparameterized"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
