@@ -7,8 +7,8 @@ prediction against path-count baselines.
 """
 
 from .corpus import TrajectoryCorpus, save_corpus
-from .errors import (EmptyNetworkError, InsufficientNegativesError, ParseError,
-                     TrainingDiverged)
+from .errors import (EmptyNetworkError, InsufficientNegativesError,
+                     KernelBuildError, ParseError, TrainingDiverged)
 from .evaluation import (EvalSplit, ExperimentResult, ScoreReport, auc,
                          dot_product_histogram, make_split, pcc_dot_vs_lpath,
                          pearson, run_experiment, sampled_network, score_dot,
@@ -27,7 +27,8 @@ from .walks import (WalkConfig, ctdne_corpus, deepwalk_corpus, node2vec_corpus,
 
 __all__ = [
     "EdgeListFormat", "EmbeddingMatrix", "EmptyNetworkError", "EvalSplit",
-    "ExperimentResult", "InsufficientNegativesError", "NetworkStats",
+    "ExperimentResult", "InsufficientNegativesError", "KernelBuildError",
+    "NetworkStats",
     "PairStream", "ParseError", "ScoreReport", "SpreadConfig", "StaticNetwork",
     "TemporalNetwork", "TrainConfig", "TrainingDiverged", "TrajectoryCorpus",
     "TrajectoryTree", "WalkConfig", "aggregate", "auc", "count_l_paths",

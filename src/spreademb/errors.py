@@ -21,3 +21,7 @@ class InsufficientNegativesError(ValueError):
 
 class TrainingDiverged(RuntimeError):
     """Non-finite values appeared during embedding training."""
+
+
+class KernelBuildError(RuntimeError):
+    """The compiled Skip-Gram kernel could not be built."""

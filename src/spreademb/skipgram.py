@@ -11,12 +11,20 @@ learning rate.  Only the input vectors U are kept for scoring.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import TrainingDiverged
+from .errors import KernelBuildError, TrainingDiverged
 from .pairs import PairStream
 
 NOISE_POWER = 0.75
@@ -147,6 +155,53 @@ def _draw_negatives(cdf: np.ndarray, contexts: np.ndarray, k: int,
 
 _FINITE_CHECK_EVERY = 8192
 
+# The compiled epoch kernel: built from _sgns.c on the first train() call in
+# KERNEL_CACHE_DIR, under a name that hashes the source and the compiler flags,
+# and loaded once per process.  No -ffast-math or -march=native, and no fused
+# multiply-add, so a rerun on one machine is bit-identical.
+KERNEL_CACHE_DIR = (Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+                    / "spreademb")
+_KERNEL_SOURCE = Path(__file__).with_name("_sgns.c")
+_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+@functools.cache
+def _sgns_epoch():
+    """The ctypes binding of _sgns.c's sgns_epoch, compiled if not cached."""
+    source = _KERNEL_SOURCE.read_bytes()
+    digest = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode()).hexdigest()
+    lib_path = KERNEL_CACHE_DIR / f"_sgns-{digest}.so"
+    if not lib_path.exists():
+        compiler = shutil.which("cc")
+        if compiler is None:
+            raise KernelBuildError(
+                "C compiler 'cc' not found on PATH; it is needed once, "
+                f"to build the Skip-Gram kernel {_KERNEL_SOURCE.name} into {lib_path.parent}")
+        lib_path.parent.mkdir(parents=True, exist_ok=True)
+        # concurrent builders (pool workers) each write their own file; the
+        # atomic rename leaves one complete library under the final name
+        fd, tmp = tempfile.mkstemp(prefix="_sgns-", suffix=".so.tmp", dir=lib_path.parent)
+        os.close(fd)
+        try:
+            build = subprocess.run(
+                [compiler, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+                capture_output=True, text=True)
+            if build.returncode != 0:
+                raise KernelBuildError(
+                    f"{compiler} failed to build {_KERNEL_SOURCE.name}:\n{build.stderr}")
+            os.replace(tmp, lib_path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    fn = ctypes.CDLL(str(lib_path)).sgns_epoch
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    f64_out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    c_i64 = ctypes.c_int64
+    fn.argtypes = [f64_out, f64_out, c_i64, i64, i64, c_i64, c_i64, f64, c_i64, f64_out]
+    fn.restype = c_i64
+    return fn
+
 
 def train(pairs: PairStream, cfg: TrainConfig) -> EmbeddingMatrix:
     """Stochastic gradient ascent over the pair stream, one pair at a time.
@@ -154,65 +209,40 @@ def train(pairs: PairStream, cfg: TrainConfig) -> EmbeddingMatrix:
     U starts uniform in [-0.5/dim, 0.5/dim), V at zero; the learning rate
     decays linearly from lr_initial towards lr_final over epochs * n_pairs
     updates.  Nodes absent from the corpus end up with the zero vector.
-    Deterministic for a fixed rng_seed.
+    Deterministic for a fixed rng_seed.  Each epoch's updates run in the
+    compiled kernel, built on the first call (see _sgns_epoch).
     """
     arr = pairs.to_array()
     n_pairs = len(arr)
     if n_pairs == 0:
         raise ValueError("pair stream is empty")
     n = pairs.n_nodes
+    if arr.min() < 0 or arr.max() >= n:
+        raise ValueError(f"pair node ids must lie in [0, {n})")
+    epoch = _sgns_epoch()
     d = cfg.dim
     rng = np.random.default_rng(cfg.rng_seed)
     u = (rng.random((n, d)) - 0.5) / d
     v = np.zeros((n, d))
     cdf = noise_cdf(pairs.counts)
     k = cfg.negatives
-    labels = np.zeros(k + 1)
-    labels[0] = 1.0
     lr0, lr1 = cfg.lr_initial, cfg.lr_final
     total = n_pairs * cfg.epochs
-    centers = arr[:, 0].tolist()
+    centers = np.ascontiguousarray(arr[:, 0], dtype=np.int64)
     contexts = arr[:, 1]
-    ctx_buf = np.empty((k + 1, d))
-    g_buf = np.empty(k + 1)
-    gu_buf = np.empty(d)
-    upd_buf = np.empty((k + 1, d))
-    g_col = g_buf[:, None]
-    dot = np.dot
+    work = np.empty(k + 1 + d)
     step = 0
-    with np.errstate(over="ignore"):
-        for _ in range(cfg.epochs):
-            rows_all = np.empty((n_pairs, k + 1), dtype=np.intp)
-            rows_all[:, 0] = contexts
-            rows_all[:, 1:] = _draw_negatives(cdf, contexts, k, rng)
-            # a pair needs scatter-add only if its noise draws repeat
-            sorted_negs = np.sort(rows_all[:, 1:], axis=1)
-            has_dup = (np.diff(sorted_negs, axis=1) == 0).any(axis=1).tolist()
-            lrs = (lr0 + (lr1 - lr0) * (np.arange(step, step + n_pairs) / total)).tolist()
-            step += n_pairs
-            for t in range(n_pairs):
-                i = centers[t]
-                rows = rows_all[t]
-                ui = u[i]
-                v.take(rows, axis=0, out=ctx_buf)  # pre-update context rows
-                dot(ctx_buf, ui, out=g_buf)
-                np.negative(g_buf, out=g_buf)
-                np.exp(g_buf, out=g_buf)
-                g_buf += 1.0
-                np.reciprocal(g_buf, out=g_buf)         # sigmoid(dots)
-                np.subtract(labels, g_buf, out=g_buf)
-                g_buf *= lrs[t]
-                dot(g_buf, ctx_buf, out=gu_buf)
-                np.multiply(g_col, ui, out=upd_buf)
-                if has_dup[t]:
-                    np.add.at(v, rows, upd_buf)
-                else:
-                    v[rows] += upd_buf
-                ui += gu_buf
-                if not (t + 1) % _FINITE_CHECK_EVERY and not np.isfinite(ui).all():
-                    raise TrainingDiverged(
-                        f"non-finite embedding near update {step - n_pairs + t}; "
-                        f"lr_initial={lr0} is probably too high")
+    for _ in range(cfg.epochs):
+        rows = np.empty((n_pairs, k + 1), dtype=np.int64)
+        rows[:, 0] = contexts
+        rows[:, 1:] = _draw_negatives(cdf, contexts, k, rng)
+        lrs = lr0 + (lr1 - lr0) * (np.arange(step, step + n_pairs) / total)
+        bad = epoch(u, v, d, centers, rows, n_pairs, k + 1, lrs, _FINITE_CHECK_EVERY, work)
+        if bad >= 0:
+            raise TrainingDiverged(
+                f"non-finite embedding near update {step + bad}; "
+                f"lr_initial={lr0} is probably too high")
+        step += n_pairs
     u[pairs.counts == 0] = 0.0  # unseen nodes score zero against everything
     if not np.all(np.isfinite(u)) or not np.all(np.isfinite(v)):
         raise TrainingDiverged(

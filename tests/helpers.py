@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from spreademb import StaticNetwork, TemporalNetwork
+from spreademb import (EmbeddingMatrix, PairStream, StaticNetwork, TemporalNetwork,
+                       TrainConfig, TrainingDiverged)
+from spreademb.skipgram import _FINITE_CHECK_EVERY, _draw_negatives, noise_cdf
 
 # chi-squared 0.99 quantiles from standard tables, keyed by degrees of freedom
 CHI2_99 = {1: 6.6349, 2: 9.2103, 3: 11.3449, 4: 13.2767, 5: 15.0863,
@@ -170,3 +172,74 @@ def reference_csr(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nbrs = np.concatenate([e[:, 1], e[:, 0]])
     order = np.lexsort((nbrs, ends))
     return e, np.searchsorted(ends[order], np.arange(n + 1)), nbrs[order]
+
+
+def reference_train(pairs: PairStream, cfg: TrainConfig) -> EmbeddingMatrix:
+    """Oracle for skipgram.train: the per-pair numpy loop it replaced.
+
+    Same initialisation, negative draws, learning rates, divergence checks and
+    messages; each update reads the pre-update context rows and scatter-adds
+    into V with np.add.at when noise draws repeat.
+    """
+    arr = pairs.to_array()
+    n_pairs = len(arr)
+    if n_pairs == 0:
+        raise ValueError("pair stream is empty")
+    n = pairs.n_nodes
+    d = cfg.dim
+    rng = np.random.default_rng(cfg.rng_seed)
+    u = (rng.random((n, d)) - 0.5) / d
+    v = np.zeros((n, d))
+    cdf = noise_cdf(pairs.counts)
+    k = cfg.negatives
+    labels = np.zeros(k + 1)
+    labels[0] = 1.0
+    lr0, lr1 = cfg.lr_initial, cfg.lr_final
+    total = n_pairs * cfg.epochs
+    centers = arr[:, 0].tolist()
+    contexts = arr[:, 1]
+    ctx_buf = np.empty((k + 1, d))
+    g_buf = np.empty(k + 1)
+    gu_buf = np.empty(d)
+    upd_buf = np.empty((k + 1, d))
+    g_col = g_buf[:, None]
+    dot = np.dot
+    step = 0
+    with np.errstate(over="ignore"):
+        for _ in range(cfg.epochs):
+            rows_all = np.empty((n_pairs, k + 1), dtype=np.intp)
+            rows_all[:, 0] = contexts
+            rows_all[:, 1:] = _draw_negatives(cdf, contexts, k, rng)
+            # a pair needs scatter-add only if its noise draws repeat
+            sorted_negs = np.sort(rows_all[:, 1:], axis=1)
+            has_dup = (np.diff(sorted_negs, axis=1) == 0).any(axis=1).tolist()
+            lrs = (lr0 + (lr1 - lr0) * (np.arange(step, step + n_pairs) / total)).tolist()
+            step += n_pairs
+            for t in range(n_pairs):
+                i = centers[t]
+                rows = rows_all[t]
+                ui = u[i]
+                v.take(rows, axis=0, out=ctx_buf)  # pre-update context rows
+                dot(ctx_buf, ui, out=g_buf)
+                np.negative(g_buf, out=g_buf)
+                np.exp(g_buf, out=g_buf)
+                g_buf += 1.0
+                np.reciprocal(g_buf, out=g_buf)         # sigmoid(dots)
+                np.subtract(labels, g_buf, out=g_buf)
+                g_buf *= lrs[t]
+                dot(g_buf, ctx_buf, out=gu_buf)
+                np.multiply(g_col, ui, out=upd_buf)
+                if has_dup[t]:
+                    np.add.at(v, rows, upd_buf)
+                else:
+                    v[rows] += upd_buf
+                ui += gu_buf
+                if not (t + 1) % _FINITE_CHECK_EVERY and not np.isfinite(ui).all():
+                    raise TrainingDiverged(
+                        f"non-finite embedding near update {step - n_pairs + t}; "
+                        f"lr_initial={lr0} is probably too high")
+    u[pairs.counts == 0] = 0.0
+    if not np.all(np.isfinite(u)) or not np.all(np.isfinite(v)):
+        raise TrainingDiverged(
+            f"non-finite embeddings after training; lr_initial={lr0} is probably too high")
+    return EmbeddingMatrix(u, v)

@@ -172,14 +172,16 @@ def test_run_temporal_algorithm_and_label_export(tmp_path):
     assert {line.split()[0] for line in emb[1:]} == set(tn.labels)
 
 
-def test_worker_pool_matches_reference_mode(toy_dataset, tmp_path):
+def test_worker_pool_matches_reference_mode(toy_dataset, tmp_path, cold_kernel_cache):
     args = ["run", "--dataset", str(toy_dataset), "--algorithm", "sine",
             "--beta", "0.5", "--x", "1", "--dim", "8", "--splits", "2",
             "--runs", "2", "--seed", "5"]
     out_serial, out_pool = tmp_path / "serial", tmp_path / "pool"
-    assert main(args + ["--workers", "1", "--out", str(out_serial)]) == 0
+    # the pool goes first, so its workers race to build the kernel
     assert main(args + ["--workers", "2", "--out", str(out_pool)]) == 0
+    assert main(args + ["--workers", "1", "--out", str(out_serial)]) == 0
     assert (out_serial / "results.csv").read_bytes() == (out_pool / "results.csv").read_bytes()
+    assert [p.suffix for p in cold_kernel_cache.iterdir()] == [".so"]
 
 
 def test_env_seed_default(toy_dataset, tmp_path, monkeypatch):

@@ -1,14 +1,18 @@
+import shutil
+import subprocess
 from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import CHI2_99, chi2_stat
-from spreademb import (EmbeddingMatrix, StaticNetwork, TrainConfig,
-                       TrainingDiverged, TrajectoryCorpus, WalkConfig,
-                       deepwalk_corpus, generate_pairs, objective,
+from helpers import CHI2_99, chi2_stat, reference_train
+from spreademb import (EmbeddingMatrix, KernelBuildError, StaticNetwork,
+                       TrainConfig, TrainingDiverged, TrajectoryCorpus,
+                       WalkConfig, deepwalk_corpus, generate_pairs, objective,
                        objective_gradient, save_embeddings, softmax_prob, train)
-from spreademb.skipgram import noise_cdf, pair_gradients, pair_loss
+from spreademb.skipgram import _sgns_epoch, noise_cdf, pair_gradients, pair_loss
 
 
 def embedding(u):
@@ -169,6 +173,92 @@ def test_train_aborts_on_divergence():
     cfg = TrainConfig(dim=2, lr_initial=1e154, lr_final=1e154, epochs=30, rng_seed=9)
     with pytest.raises(TrainingDiverged):
         train(stream, cfg)
+
+
+@st.composite
+def small_streams(draw):
+    """Pair streams on 3-6 nodes, some of them unseen, with repeated pairs."""
+    n_nodes = draw(st.integers(3, 6))
+    n_seen = draw(st.integers(2, n_nodes))
+    node = st.integers(0, n_seen - 1)
+    paths = draw(st.lists(st.lists(node, min_size=2, max_size=6), min_size=1, max_size=8))
+    stream = stream_of(paths, n_nodes, window=draw(st.integers(1, 3)))
+    assume(len(stream.to_array()))  # a pair (i, j) has i != j, so j's noise can avoid j
+    return stream
+
+
+@pytest.mark.filterwarnings("ignore:embedding dim")
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_streams(), st.sampled_from([1, 5]), st.sampled_from([1, 2, 128]),
+       st.integers(1, 4), st.sampled_from([0.025, 0.2]), st.integers(0, 2**32 - 1))
+def test_train_matches_reference_loop(stream, k, dim, epochs, lr0, seed):
+    cfg = TrainConfig(dim=dim, negatives=k, lr_initial=lr0, lr_final=lr0 / 100,
+                      epochs=epochs, rng_seed=seed)
+    got, want = train(stream, cfg), reference_train(stream, cfg)
+    assert np.abs(got._u - want._u).max() <= 1e-12
+    assert np.abs(got._v - want._v).max() <= 1e-12
+    assert np.array_equal(got._u[stream.counts == 0], want._u[stream.counts == 0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_names_same_update_as_reference_loop():
+    stream = stream_of([[0, 1, 2, 3, 4]] * 700, 6, window=2)  # 9800 pairs per epoch
+    cfg = TrainConfig(dim=2, lr_initial=1e154, lr_final=1e154, epochs=2, rng_seed=9)
+    with pytest.raises(TrainingDiverged) as got:
+        train(stream, cfg)
+    with pytest.raises(TrainingDiverged) as want:
+        reference_train(stream, cfg)
+    assert "near update 8191;" in str(got.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_kernel_step_is_lr_times_pair_gradients():
+    rng = np.random.default_rng(11)
+    n, d, lr, i = 7, 5, 0.03, 2
+    rows = np.array([[4, 1, 2, 1, 1]])  # context 4; noise 1 drawn three times, and i itself
+    u = rng.normal(scale=0.5, size=(n, d))
+    v = rng.normal(scale=0.5, size=(n, d))
+    u1, v1 = u.copy(), v.copy()
+    bad = _sgns_epoch()(u1, v1, d, np.array([i]), rows, 1, rows.shape[1],
+                        np.array([lr]), 1, np.empty(rows.shape[1] + d))
+    assert bad == -1
+    gu, gctx = pair_gradients(u[i], v[rows[0]])
+    dv = np.zeros_like(v)
+    np.add.at(dv, rows[0], lr * gctx)
+    np.testing.assert_allclose(u1[i] - u[i], lr * gu, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(v1 - v, dv, rtol=0, atol=1e-15)
+    assert np.array_equal(np.delete(u1, i, axis=0), np.delete(u, i, axis=0))
+
+
+def test_missing_compiler_is_named(cold_kernel_cache, monkeypatch):
+    monkeypatch.setattr(shutil, "which", lambda cmd: None)
+    with pytest.raises(KernelBuildError, match="C compiler 'cc' not found"):
+        train(stream_of([[0, 1, 2]], 4, window=1), TrainConfig(dim=2))
+
+
+def test_cold_cache_builds_once(cold_kernel_cache, monkeypatch):
+    builds = []
+    real_run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        builds.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    stream = stream_of([[0, 1, 2, 3]], 5, window=2)
+    cfg = TrainConfig(dim=2, rng_seed=12)
+    first = train(stream, cfg)
+    _sgns_epoch.cache_clear()  # as a new process would: load from the cache
+    second = train(stream, cfg)
+    assert len(builds) == 1
+    assert [p.suffix for p in cold_kernel_cache.iterdir()] == [".so"]  # no temp files
+    assert np.array_equal(first._u, second._u)
+
+
+def test_train_rejects_out_of_range_node_ids():
+    stream = stream_of([[0, -1, 1]], 3, window=1)  # -1 would index outside U in the kernel
+    with pytest.raises(ValueError, match="node ids"):
+        train(stream, TrainConfig(dim=2))
 
 
 def test_noise_distribution_is_three_quarter_power():
