@@ -24,4 +24,4 @@ class TrainingDiverged(RuntimeError):
 
 
 class KernelBuildError(RuntimeError):
-    """The compiled Skip-Gram kernel could not be built."""
+    """The compiled kernels (_kernels.c) could not be built."""

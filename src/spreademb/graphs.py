@@ -35,12 +35,11 @@ class TemporalNetwork:
 
     Contacts are bidirectional, sorted by timestamp, and may repeat:
     duplicate (i, j, t) entries occur in real data and are preserved.
-    Instances are immutable after construction and safe to share across
-    threads.
+    Instances are immutable after construction, apart from the per-node
+    contact lists cached on first use, and safe to share across threads.
     """
 
-    __slots__ = ("n_nodes", "src", "dst", "times", "labels", "label_to_id",
-                 "_idx_bounds", "_idx_times", "_idx_partners")
+    __slots__ = ("n_nodes", "src", "dst", "times", "labels", "label_to_id", "_contacts")
 
     def __init__(self, n_nodes, src, dst, times, labels=None):
         src = np.ascontiguousarray(src, dtype=np.int64)
@@ -71,17 +70,26 @@ class TemporalNetwork:
         self.times = times
         self.labels = labels
         self.label_to_id = {lab: i for i, lab in enumerate(labels)}
-        self._build_index()
+        self._contacts = None
 
-    def _build_index(self):
-        # Per-node contact lists (both directions), sorted by time.
-        node = np.concatenate([self.src, self.dst])
-        partner = np.concatenate([self.dst, self.src])
-        t2 = np.concatenate([self.times, self.times])
-        order = np.lexsort((t2, node))
-        self._idx_bounds = np.searchsorted(node[order], np.arange(self.n_nodes + 1))
-        self._idx_times = t2[order]
-        self._idx_partners = partner[order]
+    def contact_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(bounds, times, partners): every node's contacts in both
+        directions, node by node and sorted by time within a node; node i's
+        are entries bounds[i] to bounds[i + 1] - 1.
+
+        Built on the first call.  The three arrays are published in one
+        assignment, so a concurrent first call at worst builds them twice.
+        """
+        lists = self._contacts
+        if lists is None:
+            node = np.concatenate([self.src, self.dst])
+            partner = np.concatenate([self.dst, self.src])
+            t2 = np.concatenate([self.times, self.times])
+            order = np.lexsort((t2, node))
+            lists = (np.searchsorted(node[order], np.arange(self.n_nodes + 1)),
+                     t2[order], partner[order])
+            self._contacts = lists
+        return lists
 
     @classmethod
     def from_contacts(cls, contacts: Iterable[tuple[int, int, int]],
@@ -122,8 +130,9 @@ class TemporalNetwork:
 
     def contact_index(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(times, partners) of node i's contacts, sorted by time."""
-        lo, hi = self._idx_bounds[i], self._idx_bounds[i + 1]
-        return self._idx_times[lo:hi], self._idx_partners[lo:hi]
+        bounds, times, partners = self.contact_lists()
+        lo, hi = bounds[i], bounds[i + 1]
+        return times[lo:hi], partners[lo:hi]
 
     def contact_times(self, i: int) -> np.ndarray:
         return self.contact_index(i)[0]
@@ -230,6 +239,12 @@ class StaticNetwork:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, nbrs): node i's sorted neighbours are nbrs[indptr[i]:indptr[i + 1]]
+        (views, do not mutate)."""
+        return self._indptr, self._nbrs
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor ids of node i (a view, do not mutate)."""

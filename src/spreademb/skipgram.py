@@ -11,20 +11,13 @@ learning rate.  Only the input vectors U are kept for scoring.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import KernelBuildError, TrainingDiverged
+from . import kernels
+from .errors import TrainingDiverged
 from .pairs import PairStream
 
 NOISE_POWER = 0.75
@@ -155,54 +148,6 @@ def _draw_negatives(cdf: np.ndarray, contexts: np.ndarray, k: int,
 
 _FINITE_CHECK_EVERY = 8192
 
-# The compiled epoch kernel: built from _sgns.c on the first train() call in
-# KERNEL_CACHE_DIR, under a name that hashes the source and the compiler flags,
-# and loaded once per process.  No -ffast-math or -march=native, and no fused
-# multiply-add, so a rerun on one machine is bit-identical.
-KERNEL_CACHE_DIR = (Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-                    / "spreademb")
-_KERNEL_SOURCE = Path(__file__).with_name("_sgns.c")
-_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-
-
-@functools.cache
-def _sgns_epoch():
-    """The ctypes binding of _sgns.c's sgns_epoch, compiled if not cached."""
-    source = _KERNEL_SOURCE.read_bytes()
-    digest = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode()).hexdigest()
-    lib_path = KERNEL_CACHE_DIR / f"_sgns-{digest}.so"
-    if not lib_path.exists():
-        compiler = shutil.which("cc")
-        if compiler is None:
-            raise KernelBuildError(
-                "C compiler 'cc' not found on PATH; it is needed once, "
-                f"to build the Skip-Gram kernel {_KERNEL_SOURCE.name} into {lib_path.parent}")
-        lib_path.parent.mkdir(parents=True, exist_ok=True)
-        # concurrent builders (pool workers) each write their own file; the
-        # atomic rename leaves one complete library under the final name
-        fd, tmp = tempfile.mkstemp(prefix="_sgns-", suffix=".so.tmp", dir=lib_path.parent)
-        os.close(fd)
-        try:
-            build = subprocess.run(
-                [compiler, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
-                capture_output=True, text=True)
-            if build.returncode != 0:
-                raise KernelBuildError(
-                    f"{compiler} failed to build {_KERNEL_SOURCE.name}:\n{build.stderr}")
-            os.replace(tmp, lib_path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    fn = ctypes.CDLL(str(lib_path)).sgns_epoch
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    f64_out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    c_i64 = ctypes.c_int64
-    fn.argtypes = [f64_out, f64_out, c_i64, i64, i64, c_i64, c_i64, f64, c_i64, f64_out]
-    fn.restype = c_i64
-    return fn
-
-
 def train(pairs: PairStream, cfg: TrainConfig) -> EmbeddingMatrix:
     """Stochastic gradient ascent over the pair stream, one pair at a time.
 
@@ -210,7 +155,7 @@ def train(pairs: PairStream, cfg: TrainConfig) -> EmbeddingMatrix:
     decays linearly from lr_initial towards lr_final over epochs * n_pairs
     updates.  Nodes absent from the corpus end up with the zero vector.
     Deterministic for a fixed rng_seed.  Each epoch's updates run in the
-    compiled kernel, built on the first call (see _sgns_epoch).
+    compiled kernel sgns_epoch, built on first use (see kernels.library).
     """
     arr = pairs.to_array()
     n_pairs = len(arr)
@@ -219,7 +164,7 @@ def train(pairs: PairStream, cfg: TrainConfig) -> EmbeddingMatrix:
     n = pairs.n_nodes
     if arr.min() < 0 or arr.max() >= n:
         raise ValueError(f"pair node ids must lie in [0, {n})")
-    epoch = _sgns_epoch()
+    epoch = kernels.library().sgns_epoch
     d = cfg.dim
     rng = np.random.default_rng(cfg.rng_seed)
     u = (rng.random((n, d)) - 0.5) / d

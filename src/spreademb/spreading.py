@@ -12,12 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .corpus import TrajectoryCorpus
 from .graphs import StaticNetwork, TemporalNetwork, aggregate
 
 MAX_SPREAD_STEPS = 100_000
 
 SPREAD_MODES = ("sine", "tsine1", "tsine2")
+
+
+def _check_beta(beta: float) -> None:
+    if not 0.0 < beta <= 1.0:
+        raise ValueError("beta must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -30,8 +36,7 @@ class SpreadConfig:
     tsine1_distinct_times: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must be in (0, 1]")
+        _check_beta(self.beta)
         if self.budget_multiplier < 1:
             raise ValueError("budget_multiplier must be >= 1")
         if self.max_path_len < 2:
@@ -70,6 +75,22 @@ class TrajectoryTree:
         return [v for v in self.order if v not in inner]
 
 
+def _hit_table(g: StaticNetwork, beta: float) -> np.ndarray:
+    """Entry k: the chance 1-(1-beta)^k that a susceptible node with k
+    infected neighbours is infected in one step."""
+    return 1.0 - (1.0 - beta) ** np.arange(int(g.degree.max()) + 1, dtype=np.float64)
+
+
+def _tree(size: int, order: np.ndarray, up: np.ndarray, time: np.ndarray) -> TrajectoryTree:
+    """The TrajectoryTree of a kernel tree: node order[k] was infected at
+    time[k] by node order[up[k]]."""
+    if size < 0:
+        raise MemoryError("no memory for the spreading kernel's scratch")
+    order, up, time = order[:size].tolist(), up[:size].tolist(), time[:size].tolist()
+    parent = {order[k]: (order[up[k]], time[k]) for k in range(1, size)}
+    return TrajectoryTree(order[0], parent, order)
+
+
 def si_spread_static(g: StaticNetwork, seed: int, beta: float,
                      rng: np.random.Generator,
                      max_steps: int = MAX_SPREAD_STEPS) -> TrajectoryTree:
@@ -79,38 +100,16 @@ def si_spread_static(g: StaticNetwork, seed: int, beta: float,
     Each step, every infected-susceptible adjacency transmits independently
     with probability beta.  A node with k infected neighbors is therefore
     infected with probability 1-(1-beta)^k, and by exchangeability of the
-    per-edge trials its parent is uniform over those k neighbors.
+    per-edge trials its parent is uniform over those k neighbors.  Runs in
+    the compiled kernel, drawing from `rng`.
     """
+    _check_beta(beta)
     if not 0 <= seed < g.n_nodes:
         raise ValueError("seed outside [0, n_nodes)")
-    infected = np.zeros(g.n_nodes, dtype=bool)
-    infected[seed] = True
-    parent: dict[int, tuple[int, int]] = {}
-    order = [seed]
-    boundary: dict[int, int] = {}
-    for w in g.neighbors(seed).tolist():
-        boundary[w] = 1
-    step = 0
-    while boundary and step < max_steps:
-        step += 1
-        n_b = len(boundary)
-        nodes = np.fromiter(boundary.keys(), dtype=np.intp, count=n_b)
-        ks = np.fromiter(boundary.values(), dtype=np.float64, count=n_b)
-        hits = rng.random(n_b) < 1.0 - (1.0 - beta) ** ks
-        newly = nodes[hits].tolist()
-        for v in newly:
-            nbrs = g.neighbors(v)
-            cand = nbrs[infected[nbrs]]
-            parent[v] = (int(cand[int(rng.integers(len(cand)))]), step)
-        for v in newly:
-            del boundary[v]
-            infected[v] = True
-            order.append(v)
-        for v in newly:
-            nbrs = g.neighbors(v)
-            for w in nbrs[~infected[nbrs]].tolist():
-                boundary[w] = boundary.get(w, 0) + 1
-    return TrajectoryTree(seed, parent, order)
+    bufs = np.empty((3, g.n_nodes), dtype=np.int64)   # order, up, time
+    size = kernels.call_with(rng, kernels.library().si_tree_static, g.n_nodes, *g.csr,
+                             _hit_table(g, beta), seed, max_steps, *bufs)
+    return _tree(size, *bufs)
 
 
 def si_spread_temporal(tn: TemporalNetwork, seed: int, t_start: int, beta: float,
@@ -122,36 +121,17 @@ def si_spread_temporal(tn: TemporalNetwork, seed: int, t_start: int, beta: float
     pre-batch infected set, so a node infected at time t never transmits
     through another contact at the same t.  When several same-batch contacts
     infect one node, its parent is uniform over the successful infectors.
+    Runs in the compiled kernel, drawing from `rng`.
     """
+    _check_beta(beta)
     if not 0 <= seed < tn.n_nodes:
         raise ValueError("seed outside [0, n_nodes)")
     if not 0 <= t_start <= tn.horizon:
         raise ValueError(f"t_start {t_start} outside [0, {tn.horizon}]")
-    infected = {seed}
-    parent: dict[int, tuple[int, int]] = {}
-    order = [seed]
-    times, src, dst = tn.times, tn.src, tn.dst
-    n_contacts = len(times)
-    i = int(np.searchsorted(times, t_start, side="left"))
-    while i < n_contacts:
-        t = times[i]
-        j = int(np.searchsorted(times, t, side="right"))
-        pending: dict[int, list[int]] = {}
-        for c in range(i, j):
-            a = int(src[c])
-            b = int(dst[c])
-            a_inf = a in infected
-            if a_inf == (b in infected):
-                continue
-            u, v = (a, b) if a_inf else (b, a)
-            if rng.random() < beta:
-                pending.setdefault(v, []).append(u)
-        for v, infectors in pending.items():
-            parent[v] = (infectors[int(rng.integers(len(infectors)))], int(t))
-            infected.add(v)
-            order.append(v)
-        i = j
-    return TrajectoryTree(seed, parent, order)
+    bufs = np.empty((3, tn.n_nodes), dtype=np.int64)   # order, up, time
+    size = kernels.call_with(rng, kernels.library().si_tree_temporal, tn.n_nodes, tn.times,
+                             tn.src, tn.dst, tn.n_contacts, seed, t_start, beta, *bufs)
+    return _tree(size, *bufs)
 
 
 def seed_time_tsine1(tn: TemporalNetwork, i: int, rng: np.random.Generator,
@@ -178,8 +158,9 @@ def seed_time_tsine2(tn: TemporalNetwork, i: int) -> int:
     return int(times[0])
 
 
-def path_quota(g: StaticNetwork, i: int, quota_scale: int) -> int:
-    """Per-seed path count: max(1, round(degree share * quota_scale)).
+def path_quotas(g: StaticNetwork, quota_scale: int) -> np.ndarray:
+    """Per-seed path counts of every node: max(1, round(degree share *
+    quota_scale)).
 
     Rounding is nearest-integer with ties up, so the quotas sum to roughly
     quota_scale.  An edgeless graph degenerates to a quota of 1.
@@ -188,28 +169,48 @@ def path_quota(g: StaticNetwork, i: int, quota_scale: int) -> int:
         raise ValueError("quota_scale must be >= 1")
     total = int(g.degree.sum())
     if total == 0:
-        return 1
-    return max(1, int(np.floor(float(g.degree[i]) * quota_scale / total + 0.5)))
+        return np.ones(g.n_nodes, dtype=np.int64)
+    share = np.floor(g.degree.astype(np.float64) * quota_scale / total + 0.5)
+    return np.maximum(share.astype(np.int64), 1)
+
+
+def path_quota(g: StaticNetwork, i: int, quota_scale: int) -> int:
+    """Node i's entry of path_quotas."""
+    return int(path_quotas(g, quota_scale)[i])
+
+
+def _paths(n_paths: int, tokens: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
+    """The kernel's flat output as lists: path p is tokens[offsets[p]:offsets[p + 1]]."""
+    flat = tokens[:offsets[n_paths]].tolist()
+    bounds = offsets[:n_paths + 1].tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def extract_paths(tree: TrajectoryTree, n_paths: int, max_path_len: int,
                   rng: np.random.Generator) -> list[list[int]]:
     """n_paths root-to-leaf paths, leaves drawn uniformly with replacement;
     paths longer than max_path_len keep only their first max_path_len nodes.
+    Runs in the compiled kernel, drawing from `rng`.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    leaves = tree.leaves()
-    paths = []
-    for _ in range(n_paths):
-        v = leaves[int(rng.integers(len(leaves)))]
-        rev = [v]
-        while v != tree.root:
-            v = tree.parent[v][0]
-            rev.append(v)
-        rev.reverse()
-        paths.append(rev[:max_path_len])
-    return paths
+    if max_path_len < 1:
+        raise ValueError("max_path_len must be >= 1")
+    if not tree.order or tree.order[0] != tree.root:
+        raise ValueError("tree.order must start with the root")
+    position = {v: k for k, v in enumerate(tree.order)}
+    order = np.asarray(tree.order, dtype=np.int64)
+    up = np.asarray([-1] + [position[tree.parent[v][0]] for v in tree.order[1:]],
+                    dtype=np.int64)
+    # the kernel walks up from a leaf and relies on reaching the root within len(order) steps
+    if np.any(up[1:] >= np.arange(1, len(up))):
+        raise ValueError("every infector must precede its child in tree.order")
+    tokens = np.empty(n_paths * min(max_path_len, len(order)), dtype=np.int64)
+    offsets = np.empty(n_paths + 1, dtype=np.int64)
+    if kernels.call_with(rng, kernels.library().si_tree_paths, order, up, len(order),
+                         n_paths, max_path_len, tokens, offsets) < 0:
+        raise MemoryError("no memory for the path kernel's scratch")
+    return _paths(n_paths, tokens, offsets)
 
 
 def sample_corpus(net, cfg: SpreadConfig, mode: str) -> TrajectoryCorpus:
@@ -218,7 +219,8 @@ def sample_corpus(net, cfg: SpreadConfig, mode: str) -> TrajectoryCorpus:
     ``mode`` selects the process: "sine" runs on a StaticNetwork; "tsine1"
     and "tsine2" run on a TemporalNetwork with the respective start-time
     protocol.  Path quotas always use degrees of the static aggregation.
-    Emission stops at the first path that crosses the budget.
+    Emission stops at the first path that crosses the budget.  The whole
+    corpus is one call of the compiled kernel.
     """
     if mode not in SPREAD_MODES:
         raise ValueError(f"mode must be one of {SPREAD_MODES}")
@@ -234,26 +236,25 @@ def sample_corpus(net, cfg: SpreadConfig, mode: str) -> TrajectoryCorpus:
     n = g.n_nodes
     quota_scale = cfg.quota_scale if cfg.quota_scale is not None else 10 * n
     budget = n * cfg.budget_multiplier
+    quotas = path_quotas(g, quota_scale)
     rng = np.random.default_rng(cfg.rng_seed)
-    paths: list[list[int]] = []
-    total = 0
-    while total < budget:
-        seed = int(rng.integers(n))
-        if mode == "sine":
-            tree = si_spread_static(g, seed, cfg.beta, rng)
-        elif len(tn.contact_times(seed)) == 0:
-            # isolated in this (training) network: a bare singleton tree
-            tree = TrajectoryTree(seed, {}, [seed])
-        else:
-            if mode == "tsine1":
-                t0 = seed_time_tsine1(tn, seed, rng, cfg.tsine1_distinct_times)
-            else:
-                t0 = seed_time_tsine2(tn, seed)
-            tree = si_spread_temporal(tn, seed, t0, cfg.beta, rng)
-        quota = path_quota(g, seed, quota_scale)
-        for path in extract_paths(tree, quota, cfg.max_path_len, rng):
-            paths.append(path)
-            total += len(path)
-            if total >= budget:
-                break
-    return TrajectoryCorpus(paths, total, n)
+    # a path has 1 to max_path_len tokens and emission stops at the first path
+    # that reaches the budget, so total < budget + max_path_len and paths <= budget
+    tokens = np.empty(budget + cfg.max_path_len - 1, dtype=np.int64)
+    offsets = np.empty(budget + 1, dtype=np.int64)
+    lib = kernels.library()
+    if mode == "sine":
+        n_paths = kernels.call_with(rng, lib.si_corpus_static, n, *g.csr,
+                                    _hit_table(g, cfg.beta), MAX_SPREAD_STEPS, quotas, budget,
+                                    cfg.max_path_len, tokens, offsets)
+    else:
+        # the kernel's start times: 0 the first contact's, 1 uniform over the
+        # contacts', 2 uniform over the distinct contact times
+        start = 0 if mode == "tsine2" else 2 if cfg.tsine1_distinct_times else 1
+        bounds, times, _ = tn.contact_lists()
+        n_paths = kernels.call_with(rng, lib.si_corpus_temporal, n, tn.times, tn.src, tn.dst,
+                                    tn.n_contacts, bounds, times, start, cfg.beta,
+                                    quotas, budget, cfg.max_path_len, tokens, offsets)
+    if n_paths < 0:
+        raise MemoryError("no memory for the spreading kernel's scratch")
+    return TrajectoryCorpus(_paths(n_paths, tokens, offsets), int(offsets[n_paths]), n)

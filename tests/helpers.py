@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from spreademb import (EmbeddingMatrix, PairStream, StaticNetwork, TemporalNetwork,
-                       TrainConfig, TrainingDiverged)
+from spreademb import (EmbeddingMatrix, PairStream, SpreadConfig, StaticNetwork,
+                       TemporalNetwork, TrainConfig, TrainingDiverged, TrajectoryCorpus,
+                       TrajectoryTree, aggregate, seed_time_tsine1, seed_time_tsine2)
 from spreademb.skipgram import _FINITE_CHECK_EVERY, _draw_negatives, noise_cdf
+from spreademb.spreading import MAX_SPREAD_STEPS
 
 # chi-squared 0.99 quantiles from standard tables, keyed by degrees of freedom
 CHI2_99 = {1: 6.6349, 2: 9.2103, 3: 11.3449, 4: 13.2767, 5: 15.0863,
@@ -243,3 +245,139 @@ def reference_train(pairs: PairStream, cfg: TrainConfig) -> EmbeddingMatrix:
         raise TrainingDiverged(
             f"non-finite embeddings after training; lr_initial={lr0} is probably too high")
     return EmbeddingMatrix(u, v)
+
+
+def reference_si_spread_static(g: StaticNetwork, seed: int, beta: float,
+                               rng: np.random.Generator,
+                               max_steps: int = MAX_SPREAD_STEPS) -> TrajectoryTree:
+    """Oracle for spreading.si_spread_static: the numpy loop over an
+    insertion-ordered boundary dict that the kernel replaced, with the same
+    draws in the same order."""
+    infected = np.zeros(g.n_nodes, dtype=bool)
+    infected[seed] = True
+    parent: dict[int, tuple[int, int]] = {}
+    order = [seed]
+    boundary: dict[int, int] = {}
+    for w in g.neighbors(seed).tolist():
+        boundary[w] = 1
+    step = 0
+    while boundary and step < max_steps:
+        step += 1
+        n_b = len(boundary)
+        nodes = np.fromiter(boundary.keys(), dtype=np.intp, count=n_b)
+        ks = np.fromiter(boundary.values(), dtype=np.float64, count=n_b)
+        hits = rng.random(n_b) < 1.0 - (1.0 - beta) ** ks
+        newly = nodes[hits].tolist()
+        for v in newly:
+            nbrs = g.neighbors(v)
+            cand = nbrs[infected[nbrs]]
+            parent[v] = (int(cand[int(rng.integers(len(cand)))]), step)
+        for v in newly:
+            del boundary[v]
+            infected[v] = True
+            order.append(v)
+        for v in newly:
+            nbrs = g.neighbors(v)
+            for w in nbrs[~infected[nbrs]].tolist():
+                boundary[w] = boundary.get(w, 0) + 1
+    return TrajectoryTree(seed, parent, order)
+
+
+def reference_si_spread_temporal(tn: TemporalNetwork, seed: int, t_start: int, beta: float,
+                                 rng: np.random.Generator) -> TrajectoryTree:
+    """Oracle for spreading.si_spread_temporal: the per-contact Python loop
+    that the kernel replaced, with the same draws in the same order."""
+    infected = {seed}
+    parent: dict[int, tuple[int, int]] = {}
+    order = [seed]
+    times, src, dst = tn.times, tn.src, tn.dst
+    n_contacts = len(times)
+    i = int(np.searchsorted(times, t_start, side="left"))
+    while i < n_contacts:
+        t = times[i]
+        j = int(np.searchsorted(times, t, side="right"))
+        pending: dict[int, list[int]] = {}
+        for c in range(i, j):
+            a = int(src[c])
+            b = int(dst[c])
+            a_inf = a in infected
+            if a_inf == (b in infected):
+                continue
+            u, v = (a, b) if a_inf else (b, a)
+            if rng.random() < beta:
+                pending.setdefault(v, []).append(u)
+        for v, infectors in pending.items():
+            parent[v] = (infectors[int(rng.integers(len(infectors)))], int(t))
+            infected.add(v)
+            order.append(v)
+        i = j
+    return TrajectoryTree(seed, parent, order)
+
+
+def reference_extract_paths(tree: TrajectoryTree, n_paths: int, max_path_len: int,
+                            rng: np.random.Generator) -> list[list[int]]:
+    """Oracle for spreading.extract_paths: the Python loop it replaced."""
+    leaves = tree.leaves()
+    paths = []
+    for _ in range(n_paths):
+        v = leaves[int(rng.integers(len(leaves)))]
+        rev = [v]
+        while v != tree.root:
+            v = tree.parent[v][0]
+            rev.append(v)
+        rev.reverse()
+        paths.append(rev[:max_path_len])
+    return paths
+
+
+def reference_sample_corpus(net, cfg: SpreadConfig, mode: str) -> TrajectoryCorpus:
+    """Oracle for spreading.sample_corpus: the Python loop it replaced, over
+    the oracles above and a per-seed quota."""
+    g = net if mode == "sine" else aggregate(net)
+    n = g.n_nodes
+    quota_scale = cfg.quota_scale if cfg.quota_scale is not None else 10 * n
+    degree_total = int(g.degree.sum())
+    budget = n * cfg.budget_multiplier
+    rng = np.random.default_rng(cfg.rng_seed)
+    paths: list[list[int]] = []
+    total = 0
+    while total < budget:
+        seed = int(rng.integers(n))
+        if mode == "sine":
+            tree = reference_si_spread_static(g, seed, cfg.beta, rng)
+        elif len(net.contact_times(seed)) == 0:
+            tree = TrajectoryTree(seed, {}, [seed])
+        else:
+            if mode == "tsine1":
+                t0 = seed_time_tsine1(net, seed, rng, cfg.tsine1_distinct_times)
+            else:
+                t0 = seed_time_tsine2(net, seed)
+            tree = reference_si_spread_temporal(net, seed, t0, cfg.beta, rng)
+        quota = 1 if degree_total == 0 else max(
+            1, int(np.floor(float(g.degree[seed]) * quota_scale / degree_total + 0.5)))
+        for path in reference_extract_paths(tree, quota, cfg.max_path_len, rng):
+            paths.append(path)
+            total += len(path)
+            if total >= budget:
+                break
+    return TrajectoryCorpus(paths, total, n)
+
+
+def eager_contact_lists(tn: TemporalNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference for TemporalNetwork.contact_lists, built contact by contact:
+    each node's contacts as the first endpoint, then as the second, each in
+    contact order, then stably sorted by time."""
+    per_node: list[list[tuple[int, int]]] = [[] for _ in range(tn.n_nodes)]
+    contacts = list(tn.contacts)
+    for a, b, t in contacts:
+        per_node[a].append((t, b))
+    for a, b, t in contacts:
+        per_node[b].append((t, a))
+    bounds = np.zeros(tn.n_nodes + 1, dtype=np.int64)
+    times, partners = [], []
+    for i, lst in enumerate(per_node):
+        lst.sort(key=lambda entry: entry[0])
+        times += [t for t, _ in lst]
+        partners += [p for _, p in lst]
+        bounds[i + 1] = bounds[i] + len(lst)
+    return bounds, np.asarray(times, dtype=np.int64), np.asarray(partners, dtype=np.int64)

@@ -6,8 +6,8 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (naive_average_clustering, naive_walk_counts_from,
-                     reference_csr)
+from helpers import (eager_contact_lists, naive_average_clustering,
+                     naive_walk_counts_from, reference_csr)
 from spreademb import (InsufficientNegativesError, StaticNetwork,
                        TemporalNetwork, make_split, score_lpath)
 from spreademb import graphs
@@ -139,3 +139,11 @@ def test_make_split_invariants_hold(tn, seed):
     kept = sum(1 for i, j, _ in tn.contacts if (min(i, j), max(i, j)) in train)
     assert split.train_temporal.n_contacts == kept
     assert np.array_equal(split.train_static.edges, train_pairs)
+
+
+@SETTINGS
+@given(temporal_networks())
+def test_lazy_contact_lists_equal_eager_reference(tn):
+    assert tn._contacts is None
+    for got, want in zip(tn.contact_lists(), eager_contact_lists(tn)):
+        assert np.array_equal(got, want)

@@ -3,10 +3,11 @@ import io
 import numpy as np
 import pytest
 
-from helpers import dense_adjacency, er_graph
+from helpers import dense_adjacency, eager_contact_lists, er_graph
 from spreademb import (EdgeListFormat, EmptyNetworkError, ParseError,
                        StaticNetwork, TemporalNetwork, aggregate,
-                       count_l_paths, load_temporal, stats)
+                       count_l_paths, load_temporal, make_split, score_lpath,
+                       stats)
 from spreademb.graphs import walk_counts_from
 
 
@@ -193,3 +194,20 @@ def test_contact_index_bidirectional():
     times, partners = tn.contact_index(4)
     assert times.tolist() == [2, 7]
     assert partners.tolist() == [0, 5]
+
+
+def test_contact_lists_are_built_on_first_use():
+    text = "".join(f"{i % 40} {(i * 7 + 3) % 40} {i % 9}\n" for i in range(120)
+                   if i % 40 != (i * 7 + 3) % 40)
+    tn = load_temporal(io.StringIO(text))
+    split = make_split(tn, 5)
+    aggregate(tn)
+    score_lpath(split.train_static, split.pairs, 2)
+    assert tn._contacts is None and split.train_temporal._contacts is None
+    times, partners = tn.contact_index(3)
+    lists = tn.contact_lists()
+    assert tn.contact_lists() is lists   # built once
+    for got, want in zip(lists, eager_contact_lists(tn)):
+        assert np.array_equal(got, want)
+    lo, hi = lists[0][3], lists[0][4]
+    assert np.array_equal(times, lists[1][lo:hi]) and np.array_equal(partners, lists[2][lo:hi])

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from helpers import CHI2_99, chi2_stat, reference_train
 from spreademb import (EmbeddingMatrix, KernelBuildError, StaticNetwork,
                        TrainConfig, TrainingDiverged, TrajectoryCorpus,
-                       WalkConfig, deepwalk_corpus, generate_pairs, objective,
-                       objective_gradient, save_embeddings, softmax_prob, train)
-from spreademb.skipgram import _sgns_epoch, noise_cdf, pair_gradients, pair_loss
+                       WalkConfig, deepwalk_corpus, generate_pairs, kernels,
+                       objective, objective_gradient, save_embeddings, softmax_prob,
+                       train)
+from spreademb.skipgram import noise_cdf, pair_gradients, pair_loss
 
 
 def embedding(u):
@@ -219,8 +220,8 @@ def test_kernel_step_is_lr_times_pair_gradients():
     u = rng.normal(scale=0.5, size=(n, d))
     v = rng.normal(scale=0.5, size=(n, d))
     u1, v1 = u.copy(), v.copy()
-    bad = _sgns_epoch()(u1, v1, d, np.array([i]), rows, 1, rows.shape[1],
-                        np.array([lr]), 1, np.empty(rows.shape[1] + d))
+    bad = kernels.library().sgns_epoch(u1, v1, d, np.array([i]), rows, 1, rows.shape[1],
+                                       np.array([lr]), 1, np.empty(rows.shape[1] + d))
     assert bad == -1
     gu, gctx = pair_gradients(u[i], v[rows[0]])
     dv = np.zeros_like(v)
@@ -232,7 +233,7 @@ def test_kernel_step_is_lr_times_pair_gradients():
 
 def test_missing_compiler_is_named(cold_kernel_cache, monkeypatch):
     monkeypatch.setattr(shutil, "which", lambda cmd: None)
-    with pytest.raises(KernelBuildError, match="C compiler 'cc' not found"):
+    with pytest.raises(KernelBuildError, match="C compiler 'cc' not found.*_kernels.c"):
         train(stream_of([[0, 1, 2]], 4, window=1), TrainConfig(dim=2))
 
 
@@ -248,7 +249,7 @@ def test_cold_cache_builds_once(cold_kernel_cache, monkeypatch):
     stream = stream_of([[0, 1, 2, 3]], 5, window=2)
     cfg = TrainConfig(dim=2, rng_seed=12)
     first = train(stream, cfg)
-    _sgns_epoch.cache_clear()  # as a new process would: load from the cache
+    kernels.library.cache_clear()  # as a new process would: load from the cache
     second = train(stream, cfg)
     assert len(builds) == 1
     assert [p.suffix for p in cold_kernel_cache.iterdir()] == [".so"]  # no temp files

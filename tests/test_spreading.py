@@ -79,6 +79,30 @@ def test_static_parent_distribution_matches_naive_simulator():
         assert abs(f1 - f2) <= bound, (key, f1, f2)
 
 
+@pytest.mark.parametrize("beta", [0.0, -0.2, 1.5, float("nan")])
+def test_spreads_reject_beta_outside_unit_interval(beta):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="beta"):
+        si_spread_static(path_graph(30), 0, beta, rng)
+    tn = TemporalNetwork.from_contacts([(0, 1, 1), (1, 2, 2)])
+    with pytest.raises(ValueError, match="beta"):
+        si_spread_temporal(tn, 0, 0, beta, rng)
+
+
+def test_extract_paths_rejects_max_path_len_below_one():
+    tree = TrajectoryTree(0, {1: (0, 1)}, [0, 1])
+    with pytest.raises(ValueError, match="max_path_len"):
+        extract_paths(tree, 3, 0, np.random.default_rng(0))
+
+
+def test_extract_paths_rejects_trees_out_of_infection_order():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="precede"):   # 1 and 2 infect each other
+        extract_paths(TrajectoryTree(0, {1: (2, 1), 2: (1, 1)}, [0, 1, 2]), 3, 5, rng)
+    with pytest.raises(ValueError, match="root"):
+        extract_paths(TrajectoryTree(1, {1: (0, 1)}, [0, 1]), 3, 5, rng)
+
+
 def test_temporal_chain_beta_one():
     tn = TemporalNetwork.from_contacts([(0, 1, 1), (1, 2, 2)])
     tree = si_spread_temporal(tn, 0, 0, 1.0, np.random.default_rng(0))
